@@ -15,6 +15,7 @@
 package dbtable
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -308,22 +309,36 @@ func (s *Store) ApplyRelaxed(op *rpc.Op, pid types.InodeID, muts []storage.Mutat
 
 // ApplyAtomic performs a single-shard transaction in one RPC with
 // atomic-increment costing (the CFS strategy InfiniFS adopts): in-place
-// attribute updates serialise at the cheaper AtomicCost.
+// attribute updates serialise at the cheaper AtomicCost. A transaction
+// that loses a row lock to a concurrent one (ErrConflict/ErrLocked) is
+// retried, one more RPC each time, with the store's backoff: callers
+// chain ApplyAtomic steps into one mutation, and a step given up after
+// an earlier one committed would leave the mutation half done.
 func (s *Store) ApplyAtomic(op *rpc.Op, txnID string, pid types.InodeID,
 	guards []storage.Guard, muts []storage.Mutation) error {
 	p := s.ShardFor(pid)
-	return op.Call(p.Node, p.Cost, func() error {
-		for _, m := range muts {
-			if m.Kind == storage.MutDeltaAttr {
-				s.rowPacer(m.Key).Charge(s.cfg.AtomicCost)
+	for attempt := 0; ; attempt++ {
+		err := op.Call(p.Node, p.Cost, func() error {
+			for _, m := range muts {
+				if m.Kind == storage.MutDeltaAttr {
+					s.rowPacer(m.Key).Charge(s.cfg.AtomicCost)
+				}
 			}
-		}
-		if err := p.Shard.Prepare(txnID, guards, muts); err != nil {
+			if err := p.Shard.Prepare(txnID, guards, muts); err != nil {
+				return err
+			}
+			p.Shard.Commit(txnID)
+			return nil
+		})
+		if !errors.Is(err, types.ErrConflict) && !errors.Is(err, types.ErrLocked) {
 			return err
 		}
-		p.Shard.Commit(txnID)
-		return nil
-	})
+		if attempt == s.cfg.MaxRetries {
+			return fmt.Errorf("%w: %v", types.ErrRetryExhausted, err)
+		}
+		s.retries.Add(1)
+		txn.Backoff(attempt, s.cfg.RetryBase, s.cfg.RetryMax)
+	}
 }
 
 // RunTxn executes a distributed transaction with retry-on-conflict, as

@@ -254,6 +254,10 @@ func NewWithDB(cfg Config, db *tafdb.DB) (*Mantle, error) {
 		}
 		return float64(s.Proposals) / float64(s.Appends)
 	})
+	// Follower read-index batching: leader commit-index queries and the
+	// lookups they answered.
+	m.stats.Gauge("raft_read_rounds", func() int64 { return idx.RaftBatchStats().ReadRounds })
+	m.stats.Gauge("raft_read_waiters", func() int64 { return idx.RaftBatchStats().ReadWaiters })
 	// Elastic hotspot management observability: hot-set churn and the
 	// read/shed split on IndexNode, plus TafDB's migration accounting.
 	m.stats.Gauge("hotspot_promotions", func() int64 { return idx.Hotspot().Promotions })

@@ -705,7 +705,8 @@ func (g *Group) CoalescedWalks() int64 {
 func (g *Group) Rafts() []*raft.Raft { return g.rafts }
 
 // RaftBatchStats sums the write-batching counters across the group's
-// replicas (appends and flush reasons accrue on whichever replica led).
+// replicas (appends and flush reasons accrue on whichever replica led),
+// and the read-index rounds followers and learners sent.
 func (g *Group) RaftBatchStats() raft.BatchStats {
 	var out raft.BatchStats
 	for _, r := range g.rafts {
@@ -718,6 +719,8 @@ func (g *Group) RaftBatchStats() raft.BatchStats {
 		out.FlushTimer += s.FlushTimer
 		out.FlushCount += s.FlushCount
 		out.FlushBytes += s.FlushBytes
+		out.ReadRounds += s.ReadRounds
+		out.ReadWaiters += s.ReadWaiters
 	}
 	return out
 }

@@ -68,50 +68,69 @@ func (r *Raft) applier() {
 			return
 		case <-r.applyCh:
 		}
-		for {
-			r.mu.Lock()
-			if r.lastApplied >= r.commitIndex {
-				r.mu.Unlock()
-				break
-			}
-			idx := r.lastApplied + 1
-			entry := r.entryAtLocked(idx)
-			r.mu.Unlock()
-
-			// No-op entries (leader-election barriers) skip the state
-			// machine.
-			if r.cfg.SM != nil && len(entry.Cmd) > 0 {
-				r.cfg.SM.Apply(entry.Index, entry.Cmd)
-			}
-
-			r.mu.Lock()
-			r.lastApplied = idx
-			var p *proposal
-			if r.pending != nil {
-				p = r.pending[idx]
-				delete(r.pending, idx)
-			}
-			r.applyCond.Broadcast()
-			r.mu.Unlock()
-			if p != nil {
-				now := time.Now()
-				r.metrics.mu.Lock()
-				r.metrics.IngestWait += p.appended.Sub(p.enqueued)
-				r.metrics.CommitWait += now.Sub(p.appended)
-				r.metrics.mu.Unlock()
-				if r.cfg.ProposeLatency != nil {
-					r.cfg.ProposeLatency.Observe(now.Sub(p.enqueued))
-				}
-				p.done <- proposalResult{index: idx}
-			}
+		for r.applyNext() {
 			r.maybeCompact()
 		}
 	}
 }
 
-// maybeCompact snapshots the state machine and truncates the applied log
-// prefix once it exceeds the configured threshold. Runs on the apply
-// goroutine, so Snapshot never races Apply.
+// applyNext applies the entry after lastApplied, if it is committed, and
+// reports whether it did. It holds applyMu throughout, so a snapshot
+// install cannot restore the state machine while an older entry is
+// being applied to it.
+func (r *Raft) applyNext() bool {
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
+	r.mu.Lock()
+	if r.lastApplied >= r.commitIndex {
+		r.mu.Unlock()
+		return false
+	}
+	idx := r.lastApplied + 1
+	entry := r.entryAtLocked(idx)
+	r.mu.Unlock()
+
+	// No-op entries (leader-election barriers) skip the state machine.
+	if r.cfg.SM != nil && len(entry.Cmd) > 0 {
+		r.cfg.SM.Apply(entry.Index, entry.Cmd)
+	}
+
+	r.mu.Lock()
+	if r.lastApplied != idx-1 {
+		// lastApplied was reset while r.mu was released; keep the
+		// reset position rather than writing an older one over it.
+		r.mu.Unlock()
+		return true
+	}
+	r.lastApplied = idx
+	var p *proposal
+	if r.pending != nil {
+		p = r.pending[idx]
+		delete(r.pending, idx)
+	}
+	r.applyCond.Broadcast()
+	r.mu.Unlock()
+	if p != nil {
+		now := time.Now()
+		r.metrics.mu.Lock()
+		r.metrics.IngestWait += p.appended.Sub(p.enqueued)
+		r.metrics.CommitWait += now.Sub(p.appended)
+		r.metrics.mu.Unlock()
+		if r.cfg.ProposeLatency != nil {
+			r.cfg.ProposeLatency.Observe(now.Sub(p.enqueued))
+		}
+		p.done <- proposalResult{index: idx}
+	}
+	return true
+}
+
+// maybeCompact snapshots the state machine once SnapshotThreshold
+// entries have been applied past the previous snapshot, and truncates the
+// log at that previous snapshot. The log so keeps one threshold of
+// entries below the newest snapshot: a follower that trails the leader by
+// a few entries when it compacts catches up from the log, not by a full
+// snapshot install. Runs on the apply goroutine under applyMu, so
+// Snapshot races neither Apply nor a snapshot install.
 func (r *Raft) maybeCompact() {
 	if r.cfg.SnapshotThreshold <= 0 {
 		return
@@ -120,33 +139,38 @@ func (r *Raft) maybeCompact() {
 	if !ok {
 		return
 	}
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
 	r.mu.Lock()
 	applied := r.lastApplied
-	first := r.firstIndexLocked()
-	if applied-first < uint64(r.cfg.SnapshotThreshold) {
+	if applied < r.snapIndex+uint64(r.cfg.SnapshotThreshold) {
 		r.mu.Unlock()
 		return
 	}
 	r.mu.Unlock()
 
-	// Snapshot outside r.mu: state-machine reads can be slow, and only
-	// this goroutine mutates the SM.
+	// Snapshot outside r.mu: state-machine reads can be slow.
 	data := sm.Snapshot()
 
 	r.mu.Lock()
-	// applied cannot have advanced (single apply goroutine), but a
-	// snapshot install could have; re-check.
-	if applied <= r.firstIndexLocked() {
+	// The log may have been reset while r.mu was released: keep the
+	// snapshot only if it still covers exactly the applied prefix and
+	// that prefix is still in the log.
+	first := r.firstIndexLocked()
+	last, _ := r.lastLogLocked()
+	if r.lastApplied != applied || applied <= r.snapIndex || applied < first || applied > last {
 		r.mu.Unlock()
 		return
 	}
-	cutTerm := r.entryAtLocked(applied).Term
-	suffix := r.log[applied-r.firstIndexLocked()+1:]
-	newLog := make([]Entry, 0, len(suffix)+1)
-	newLog = append(newLog, Entry{Term: cutTerm, Index: applied})
-	newLog = append(newLog, suffix...)
-	r.log = newLog
-	r.snapData = data
+	cut := r.snapIndex
+	r.snapIndex, r.snapTerm, r.snapData = applied, r.entryAtLocked(applied).Term, data
+	if cut > first {
+		suffix := r.log[cut-first+1:]
+		newLog := make([]Entry, 0, len(suffix)+1)
+		newLog = append(newLog, Entry{Term: r.entryAtLocked(cut).Term, Index: cut})
+		newLog = append(newLog, suffix...)
+		r.log = newLog
+	}
 	r.mu.Unlock()
 	r.fsync() // persisting the snapshot costs a disk sync
 }

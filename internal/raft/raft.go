@@ -5,11 +5,13 @@
 //   - leader election with randomised timeouts and term-based safety,
 //   - log replication to voting followers and non-voting learners
 //     (read replicas, as added in §5.1.3 to scale lookups),
-//   - a state machine apply loop on every replica,
+//   - a state machine apply loop on every replica, serialised with
+//     snapshot installs,
 //   - ReadIndex-based consistent reads on followers and learners: the
 //     replica queries the leader for its commitIndex (queries from
-//     concurrent readers are batched into one RPC, as the paper
-//     describes) and waits until the local applyIndex catches up,
+//     concurrent readers are batched, as the paper describes, into up
+//     to maxReadRounds overlapping rounds) and waits until the local
+//     applyIndex catches up,
 //   - proposal batching: the leader groups queued proposals into one log
 //     append and one fsync per batch ("+raftlogbatch" in Figure 16),
 //     bounded by a count/byte/time window (MaxBatch, MaxBatchBytes,
@@ -103,7 +105,9 @@ type Snapshotter interface {
 	// Snapshot serialises the full state-machine state. It is invoked
 	// from the apply goroutine, so it never races Apply.
 	Snapshot() []byte
-	// Restore replaces the state-machine state from a snapshot.
+	// Restore replaces the state-machine state from a snapshot. It runs
+	// with the replica's state locked, so it must not call back into the
+	// replica.
 	Restore(data []byte)
 }
 
@@ -244,6 +248,9 @@ type Raft struct {
 
 	// applyWait broadcasts when lastApplied advances (ReadIndex waits).
 	applyCond *sync.Cond
+	// applyMu serialises the state machine's writers: applying one
+	// entry, compacting, and installing a snapshot. Taken before mu.
+	applyMu sync.Mutex
 
 	// reads batches follower-read commitIndex queries to the leader.
 	reads readState
@@ -257,14 +264,18 @@ type Raft struct {
 	// disk serialises simulated fsyncs.
 	disk sync.Mutex
 
-	// snapData is the latest snapshot (log prefix up to log[0].Index).
-	snapData []byte
+	// snapIndex, snapTerm and snapData are the latest snapshot: the state
+	// machine as of applying snapIndex. The log starts at or below it
+	// (log[0].Index <= snapIndex); see maybeCompact.
+	snapIndex uint64
+	snapTerm  uint64
+	snapData  []byte
 
 	metrics Metrics
 }
 
 // firstIndexLocked returns the index of the log's sentinel entry (the
-// snapshot boundary). Caller holds r.mu.
+// compaction boundary). Caller holds r.mu.
 func (r *Raft) firstIndexLocked() uint64 { return r.log[0].Index }
 
 // entryAtLocked returns the log entry with absolute index idx. Caller
@@ -277,7 +288,7 @@ func (r *Raft) entryAtLocked(idx uint64) Entry {
 func (r *Raft) SnapshotIndex() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.firstIndexLocked()
+	return r.snapIndex
 }
 
 // LogLen returns the number of live (non-compacted) log entries.
@@ -309,6 +320,12 @@ type Metrics struct {
 	// until log append, and append-to-apply completion.
 	IngestWait time.Duration
 	CommitWait time.Duration
+
+	// Follower read-index accounting: leader commit-index queries sent
+	// and the readers they answered (waiters per round = ReadWaiters /
+	// ReadRounds).
+	ReadRounds  int64
+	ReadWaiters int64
 }
 
 // flushReason classifies why the leader closed a proposal batch.
@@ -341,16 +358,28 @@ func (m *Metrics) noteAppend(proposals, bytes int64, reason flushReason) {
 	m.mu.Unlock()
 }
 
-// BatchStats is a snapshot of the write-batching counters.
+// noteReadRound records one follower read-index round carrying waiters
+// readers.
+func (m *Metrics) noteReadRound(waiters int) {
+	m.mu.Lock()
+	m.ReadRounds++
+	m.ReadWaiters += int64(waiters)
+	m.mu.Unlock()
+}
+
+// BatchStats is a snapshot of the write-batching and read-index batching
+// counters.
 type BatchStats struct {
-	Syncs      int64
-	Appends    int64
-	Proposals  int64
-	BatchBytes int64
-	FlushIdle  int64
-	FlushTimer int64
-	FlushCount int64
-	FlushBytes int64
+	Syncs       int64
+	Appends     int64
+	Proposals   int64
+	BatchBytes  int64
+	FlushIdle   int64
+	FlushTimer  int64
+	FlushCount  int64
+	FlushBytes  int64
+	ReadRounds  int64
+	ReadWaiters int64
 }
 
 // Batch snapshots the batching counters.
@@ -366,6 +395,9 @@ func (m *Metrics) Batch() BatchStats {
 		FlushTimer: m.FlushTimer,
 		FlushCount: m.FlushCount,
 		FlushBytes: m.FlushBytes,
+
+		ReadRounds:  m.ReadRounds,
+		ReadWaiters: m.ReadWaiters,
 	}
 }
 

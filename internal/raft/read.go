@@ -15,14 +15,23 @@ type readResult struct {
 	err error
 }
 
-// readState batches concurrent follower-read index queries into one
-// leader RPC per round, as §5.1.3 describes ("queries for the commitIndex
-// are batched"): readers that arrive while a query is in flight join the
-// next round rather than each issuing their own RPC.
+// maxReadRounds bounds the read-index rounds one follower keeps in flight
+// to the leader. One round at a time makes a read that arrives mid-round
+// wait out that round and then a whole round of its own (~1.5 leader
+// round trips); a few overlapping rounds let it start its own at once,
+// while a burst still collapses into a handful of RPCs, because arrivals
+// beyond the cap queue and the first round to return carries them all.
+const maxReadRounds = 4
+
+// readState batches concurrent follower-read index queries, as §5.1.3
+// describes ("queries for the commitIndex are batched"): each round is
+// one leader RPC carrying every reader queued when the round started.
+// Up to maxReadRounds rounds overlap; readers that arrive while all of
+// them are in flight queue for the next round to start.
 type readState struct {
-	mu      sync.Mutex
-	waiters []chan readResult
-	running bool
+	mu       sync.Mutex
+	waiters  []chan readResult
+	inflight int // round carriers running, at most maxReadRounds
 }
 
 // ReadIndex returns an index such that any read of state applied up to it
@@ -36,7 +45,11 @@ type readState struct {
 //
 // On a follower or learner the replica queries the leader for its commit
 // index through the read batcher; the caller then waits for local apply
-// to catch up via WaitApplied.
+// to catch up via WaitApplied. The caller joins only a round that starts
+// after it arrives, so the leader's answer is at least the commit index
+// at the time of the call. With fewer than maxReadRounds rounds in
+// flight its round starts at once; otherwise it waits for the first
+// in-flight round to return.
 func (r *Raft) ReadIndex() (uint64, error) {
 	if r.stopped() {
 		return 0, types.ErrStopped
@@ -52,9 +65,9 @@ func (r *Raft) ReadIndex() (uint64, error) {
 	ch := make(chan readResult, 1)
 	r.reads.mu.Lock()
 	r.reads.waiters = append(r.reads.waiters, ch)
-	if !r.reads.running {
-		r.reads.running = true
-		go r.serveReadBatches()
+	if r.reads.inflight < maxReadRounds {
+		r.reads.inflight++
+		go r.carryReadRounds()
 	}
 	r.reads.mu.Unlock()
 
@@ -66,21 +79,23 @@ func (r *Raft) ReadIndex() (uint64, error) {
 	}
 }
 
-// serveReadBatches drains waiter rounds: one leader RPC per round, shared
-// by every waiter that had arrived by the time the round started.
-func (r *Raft) serveReadBatches() {
+// carryReadRounds runs read rounds back to back: each captures every
+// queued waiter, asks the leader once, and hands the answer to all of
+// them. It exits when a round finds the queue empty.
+func (r *Raft) carryReadRounds() {
 	for {
 		r.reads.mu.Lock()
 		waiters := r.reads.waiters
 		r.reads.waiters = nil
 		if len(waiters) == 0 {
-			r.reads.running = false
+			r.reads.inflight--
 			r.reads.mu.Unlock()
 			return
 		}
 		r.reads.mu.Unlock()
 
 		res := r.queryLeaderCommit()
+		r.metrics.noteReadRound(len(waiters))
 		for _, ch := range waiters {
 			ch <- res
 		}

@@ -254,6 +254,11 @@ func (r *Raft) failPending() {
 // processes the reply. It exits with the leader term.
 func (r *Raft) replicateTo(term uint64, peer *Raft, kick chan struct{}, done chan struct{}) {
 	defer r.wg.Done()
+	// lostLog is when the peer last rejected entries it had already
+	// acknowledged: it lost its durable log, as a replica restarted on an
+	// empty disk does. The leader leaves it alone for a heartbeat
+	// interval instead of pushing a snapshot into it while it recovers.
+	var lostLog time.Time
 	for {
 		select {
 		case <-r.stopCh:
@@ -261,6 +266,9 @@ func (r *Raft) replicateTo(term uint64, peer *Raft, kick chan struct{}, done cha
 		case <-done:
 			return
 		case <-kick:
+			if time.Since(lostLog) < r.cfg.HeartbeatInterval {
+				continue
+			}
 		}
 		for {
 			r.mu.Lock()
@@ -273,8 +281,7 @@ func (r *Raft) replicateTo(term uint64, peer *Raft, kick chan struct{}, done cha
 			if next <= first {
 				// The peer needs entries compacted away: install the
 				// snapshot, then resume appending after it.
-				snapIdx, snapTerm := first, r.log[0].Term
-				data := r.snapData
+				snapIdx, snapTerm, data := r.snapIndex, r.snapTerm, r.snapData
 				r.mu.Unlock()
 				if r.deliver(peer) != nil {
 					break // message lost; retry on next kick
@@ -349,6 +356,12 @@ func (r *Raft) replicateTo(term uint64, peer *Raft, kick chan struct{}, done cha
 				r.nextIndex[peer.id] = conflictHint
 			} else if next > 1 {
 				r.nextIndex[peer.id] = next - 1
+			}
+			if r.nextIndex[peer.id] <= r.matchIndex[peer.id] {
+				r.matchIndex[peer.id] = r.nextIndex[peer.id] - 1
+				lostLog = time.Now()
+				r.mu.Unlock()
+				break
 			}
 			r.mu.Unlock()
 		}
@@ -486,11 +499,15 @@ func (r *Raft) handleAppendEntries(term uint64, leader string, prevIdx, prevTerm
 
 // handleInstallSnapshot is the InstallSnapshot RPC handler: a follower
 // that lags behind the leader's compacted log replaces its state machine
-// with the leader's snapshot.
+// with the leader's snapshot. It holds applyMu so the install waits out
+// an entry the apply goroutine is applying, which would otherwise land
+// on the restored state and write its older index over the snapshot's.
 func (r *Raft) handleInstallSnapshot(term uint64, leader string, snapIdx, snapTerm uint64, data []byte) (ok bool, replyTerm uint64) {
 	if r.stopped() {
 		return false, 0
 	}
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
 	r.mu.Lock()
 	if term < r.term {
 		defer r.mu.Unlock()
@@ -517,13 +534,13 @@ func (r *Raft) handleInstallSnapshot(term uint64, leader string, snapIdx, snapTe
 		defer r.mu.Unlock()
 		return false, r.term
 	}
+	// Restore under r.mu: nothing observes the log and the apply index
+	// out of step with the state machine.
+	sm.Restore(data)
 	r.log = []Entry{{Term: snapTerm, Index: snapIdx}}
-	r.snapData = data
+	r.snapIndex, r.snapTerm, r.snapData = snapIdx, snapTerm, data
 	r.commitIndex = snapIdx
 	r.lastApplied = snapIdx
-	r.mu.Unlock()
-	sm.Restore(data)
-	r.mu.Lock()
 	r.applyCond.Broadcast()
 	r.mu.Unlock()
 	r.fsync()
